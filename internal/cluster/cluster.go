@@ -197,12 +197,22 @@ func New(cfg Config) (*Dispatcher, error) {
 		}
 		d.replicas = append(d.replicas, &replica{
 			id:      i,
-			eng:     serve.NewEngine(m, cfg.InSize, cfg.Serve),
+			eng:     serve.NewEngine(m, cfg.InSize, d.serveConfig(i)),
 			rng:     xrand.Derive(cfg.Seed, fmt.Sprintf("cluster/r%d", i)),
 			metrics: newReplicaMetrics(i),
 		})
 	}
 	return d, nil
+}
+
+// serveConfig is the engine config for slot i: the cluster's serving
+// config with the engine named after its slot, so the slot's
+// serve.r<i>.* gauges pass to a rebuilt engine the way its cluster.r<i>.*
+// metrics do.
+func (d *Dispatcher) serveConfig(i int) serve.Config {
+	c := d.cfg.Serve
+	c.Instance = fmt.Sprintf("r%d", i)
+	return c
 }
 
 // Replicas returns the replica count.
@@ -523,7 +533,7 @@ func (d *Dispatcher) rebuild(r *replica) error {
 			return err
 		}
 	}
-	ne := serve.NewEngine(m, d.cfg.InSize, d.cfg.Serve)
+	ne := serve.NewEngine(m, d.cfg.InSize, d.serveConfig(r.id))
 	d.mu.Lock()
 	r.gen++
 	r.eng = ne

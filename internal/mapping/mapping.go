@@ -23,12 +23,18 @@
 // neurons by installing new permutations and re-programming only the cells
 // whose contents actually change.
 //
-// All three stores expose batched analog readout (MVMBatch/MVMBatchInto)
-// next to the per-sample MVM: a B-row drive matrix crosses the array(s)
-// in one pass, with per-tile partials reduced in fixed row-major tile
-// order and the diff-pair arrays combined pos-then-neg — bit-identical to
-// looping MVM over the rows (DESIGN.md §7). Stores own their batch
-// scratch, so steady-state batched readout does not allocate.
+// The compute path reads a store's weights through Read. CrossbarStore
+// keeps a write-through mirror of its effective logical weights: its own
+// cell writes update the mirror entry by entry, and any other mutation of
+// its crossbar (chaos flips, detection test writes, drift, a restore)
+// advances the crossbar's generation counter, so the next Read rebuilds
+// the mirror from the cells (DESIGN.md §7). TiledStore and DiffPairStore
+// additionally expose batched analog readout (MVMBatch/MVMBatchInto): a
+// B-row drive matrix crosses the array(s) in one pass, with per-tile
+// partials reduced in fixed row-major tile order and the diff-pair arrays
+// combined pos-then-neg — bit-identical to looping MVM over the rows.
+// Stores own their batch scratch, so steady-state batched readout does
+// not allocate.
 package mapping
 
 import (
@@ -105,8 +111,16 @@ type CrossbarStore struct {
 	rowPerm []int  // logical row -> physical row
 	colPerm []int  // logical col -> physical col
 
-	est     *fault.Map // latest estimated fault map (physical coords)
-	readBuf *tensor.Dense
+	est *fault.Map // latest estimated fault map (physical coords)
+
+	// readBuf mirrors the effective logical weights Read returns. It is
+	// current while mirrored is set and mirrorGen equals cb.Gen():
+	// programCell updates it entry by entry, a crossbar mutation the
+	// store did not make advances the generation, and store-level changes
+	// of the mask, permutations or scale clear mirrored.
+	readBuf   *tensor.Dense
+	mirrored  bool
+	mirrorGen uint64
 }
 
 // NewCrossbarStore builds a store holding w (used as the initial weights)
@@ -157,14 +171,23 @@ func (s *CrossbarStore) Crossbar() *rram.Crossbar { return s.cb }
 // WMax returns the weight magnitude mapped to the top level.
 func (s *CrossbarStore) WMax() float64 { return s.wMax }
 
-// effWeight returns the signed effective weight of logical position (i, j),
-// ignoring pruning.
-func (s *CrossbarStore) effWeight(i, j int) float64 {
-	w := s.cb.EffectiveLevel(s.rowPerm[i], s.colPerm[j]) * s.levelScale
-	if s.sign[i*s.cols+j] < 0 {
+// weightAt returns the effective weight of logical entry li held on
+// physical cell (pr, pc): the cell's effective level, scaled and signed,
+// or exactly zero when the weight is pruned.
+func (s *CrossbarStore) weightAt(li, pr, pc int) float64 {
+	if s.keep != nil && !s.keep[li] {
+		return 0
+	}
+	w := s.cb.EffectiveLevel(pr, pc) * s.levelScale
+	if s.sign[li] < 0 {
 		return -w
 	}
 	return w
+}
+
+// mirrorCurrent reports whether readBuf holds the effective weights.
+func (s *CrossbarStore) mirrorCurrent() bool {
+	return s.mirrored && s.mirrorGen == s.cb.Gen()
 }
 
 // Read returns the effective logical weights as the compute path sees them:
@@ -172,20 +195,27 @@ func (s *CrossbarStore) effWeight(i, j int) float64 {
 // exactly zero regardless of the cell state: the peripheral sign register
 // has an "off" state that disconnects the cell, which is the behaviour the
 // paper's ErrorSet model assumes (a fault under a pruned weight is never an
-// error, SA1 included). The returned matrix is owned by the store and
-// overwritten on the next call.
+// error, SA1 included).
+//
+// The returned matrix is the store's live weight mirror, not a copy:
+// callers must not modify it, and the store's own writes (ApplyDelta,
+// RestoreReference, re-mapping) update it in place. Read rebuilds it from
+// the cells only after a change the store did not make — any mutation of
+// the crossbar through Crossbar() — or after a mask, permutation or
+// snapshot change; otherwise it returns the mirror untouched. Use
+// WeightSnapshot for a copy that stays fixed.
 func (s *CrossbarStore) Read() *tensor.Dense {
+	if s.mirrorCurrent() {
+		return s.readBuf
+	}
 	for i := 0; i < s.rows; i++ {
 		row := s.readBuf.Row(i)
-		for j := 0; j < s.cols; j++ {
-			li := i*s.cols + j
-			if s.keep != nil && !s.keep[li] {
-				row[j] = 0
-				continue
-			}
-			row[j] = s.effWeight(i, j)
+		pr := s.rowPerm[i]
+		for j := range row {
+			row[j] = s.weightAt(i*s.cols+j, pr, s.colPerm[j])
 		}
 	}
+	s.mirrored, s.mirrorGen = true, s.cb.Gen()
 	return s.readBuf
 }
 
@@ -207,6 +237,7 @@ func (s *CrossbarStore) ApplyDelta(delta *tensor.Dense) {
 	if delta.Rows != s.rows || delta.Cols != s.cols {
 		panic(fmt.Sprintf("mapping: delta %dx%d for store %dx%d", delta.Rows, delta.Cols, s.rows, s.cols))
 	}
+	cur := s.Read()
 	for i := 0; i < s.rows; i++ {
 		drow := delta.Row(i)
 		for j, d := range drow {
@@ -217,7 +248,7 @@ func (s *CrossbarStore) ApplyDelta(delta *tensor.Dense) {
 			if s.keep != nil && !s.keep[li] {
 				continue // pruned weights are frozen at zero
 			}
-			w := clampAbs(s.effWeight(i, j)+d, s.wMax)
+			w := clampAbs(cur.Data[li]+d, s.wMax)
 			s.programCell(li, s.rowPerm[i], s.colPerm[j], w)
 		}
 	}
@@ -228,21 +259,27 @@ func (s *CrossbarStore) ApplyDelta(delta *tensor.Dense) {
 // MaxWriteRetries (a giveup there marks the cell stuck before the fault
 // check below). The sign register only updates when the cell itself is
 // writable: a stuck cell freezes both its conductance and its stored
-// polarity.
+// polarity. (pr, pc) must be the cell logical entry li currently maps to.
+// A write changes no cell but its own, so when the mirror was current
+// before the write, updating entry li keeps it current.
 func (s *CrossbarStore) programCell(li, pr, pc int, w float64) {
+	mirrored := s.mirrorCurrent()
 	target := math.Abs(w) / s.levelScale
 	if s.maxWriteRetries > 0 {
 		s.cb.WriteVerified(pr, pc, target, s.maxWriteRetries, s.verifyTol)
 	} else {
 		s.cb.Write(pr, pc, target)
 	}
-	if s.cb.Fault(pr, pc).IsFault() {
-		return
+	if !s.cb.Fault(pr, pc).IsFault() {
+		if w < 0 {
+			s.sign[li] = -1
+		} else {
+			s.sign[li] = 1
+		}
 	}
-	if w < 0 {
-		s.sign[li] = -1
-	} else {
-		s.sign[li] = 1
+	if mirrored {
+		s.readBuf.Data[li] = s.weightAt(li, pr, pc)
+		s.mirrorGen = s.cb.Gen()
 	}
 }
 
@@ -251,6 +288,7 @@ func (s *CrossbarStore) programCell(li, pr, pc int, w float64) {
 // conductance where still programmable, and they are frozen against future
 // updates. Kept weights are untouched. Passing nil clears the mask.
 func (s *CrossbarStore) SetPruneMask(m *prune.Mask) {
+	s.mirrored = false
 	if m == nil {
 		s.keep = nil
 		return
@@ -377,7 +415,7 @@ func (s *CrossbarStore) SetColPerm(perm []int) int {
 	if obs.MetricsEnabled() {
 		cColPermInstalls.Inc()
 	}
-	eff := s.snapshotEffective()
+	eff := append([]float64(nil), s.Read().Data...)
 	copy(s.colPerm, perm)
 	return s.reprogram(eff)
 }
@@ -390,33 +428,18 @@ func (s *CrossbarStore) SetRowPerm(perm []int) int {
 	if obs.MetricsEnabled() {
 		cRowPermInstalls.Inc()
 	}
-	eff := s.snapshotEffective()
+	eff := append([]float64(nil), s.Read().Data...)
 	copy(s.rowPerm, perm)
 	return s.reprogram(eff)
-}
-
-// snapshotEffective captures every logical weight's effective value
-// (pruned → 0, matching the disconnected periphery).
-func (s *CrossbarStore) snapshotEffective() []float64 {
-	eff := make([]float64, s.rows*s.cols)
-	for i := 0; i < s.rows; i++ {
-		for j := 0; j < s.cols; j++ {
-			li := i*s.cols + j
-			if s.keep != nil && !s.keep[li] {
-				eff[li] = 0
-				continue
-			}
-			eff[li] = s.effWeight(i, j)
-		}
-	}
-	return eff
 }
 
 // reprogram writes every physical cell whose desired level (under the
 // current permutations) differs from its programmed level by more than a
 // tolerance, returning the write count. The tolerance skips cells that did
-// not move (saving endurance).
+// not move (saving endurance). eff holds the effective weights read under
+// the previous permutations, so the mirror no longer matches the cells.
 func (s *CrossbarStore) reprogram(eff []float64) int {
+	s.mirrored = false
 	const tol = 0.25 // level units; well above programming noise
 	writes := 0
 	for i := 0; i < s.rows; i++ {

@@ -121,6 +121,7 @@ func (s *CrossbarStore) DisconnectDeviants(ref *tensor.Dense, marginLevels float
 		panic(fmt.Sprintf("mapping: reference %dx%d for store %dx%d", ref.Rows, ref.Cols, s.rows, s.cols))
 	}
 	margin := marginLevels * s.levelScale
+	cur := s.Read()
 	mask := prune.NewMask(s.rows, s.cols)
 	newly := 0
 	for i := 0; i < s.rows; i++ {
@@ -128,7 +129,7 @@ func (s *CrossbarStore) DisconnectDeviants(ref *tensor.Dense, marginLevels float
 			keep := s.Kept(i, j)
 			if keep {
 				want := clampAbs(ref.Data[i*s.cols+j], s.wMax)
-				if math.Abs(s.effWeight(i, j)-want) > math.Abs(want)+margin {
+				if math.Abs(cur.Data[i*s.cols+j]-want) > math.Abs(want)+margin {
 					keep = false
 					newly++
 				}
@@ -158,6 +159,7 @@ func (s *CrossbarStore) RestoreReference(ref *tensor.Dense, tolLevels float64) i
 		panic(fmt.Sprintf("mapping: reference %dx%d for store %dx%d", ref.Rows, ref.Cols, s.rows, s.cols))
 	}
 	tol := tolLevels * s.levelScale
+	cur := s.Read()
 	writes := 0
 	for i := 0; i < s.rows; i++ {
 		for j := 0; j < s.cols; j++ {
@@ -166,7 +168,7 @@ func (s *CrossbarStore) RestoreReference(ref *tensor.Dense, tolLevels float64) i
 				continue
 			}
 			want := clampAbs(ref.Data[li], s.wMax)
-			if math.Abs(s.effWeight(i, j)-want) <= tol {
+			if math.Abs(cur.Data[li]-want) <= tol {
 				continue
 			}
 			s.programCell(li, s.rowPerm[i], s.colPerm[j], want)

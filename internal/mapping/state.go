@@ -93,9 +93,9 @@ func (s *CrossbarStore) Restore(st *StoreState) error {
 		return fmt.Errorf("mapping: snapshot fault estimate is %dx%d (%d cells), store is %dx%d", st.Est.Rows, st.Est.Cols, len(st.Est.Kinds), s.rows, s.cols)
 	}
 	// A decoded snapshot is untrusted input: out-of-range permutation
-	// entries would panic deep inside effWeight on the first Read, and a
-	// non-positive or non-finite WMax would silently corrupt the level
-	// scale for every weight.
+	// entries would panic deep inside the first Read, and a non-positive
+	// or non-finite WMax would silently corrupt the level scale for every
+	// weight.
 	if !validPerm(st.RowPerm) || !validPerm(st.ColPerm) {
 		return fmt.Errorf("mapping: snapshot row/col maps for store %q are not permutations", s.name)
 	}
@@ -105,6 +105,7 @@ func (s *CrossbarStore) Restore(st *StoreState) error {
 	if err := s.cb.Restore(st.Crossbar); err != nil {
 		return fmt.Errorf("mapping: store %q: %w", s.name, err)
 	}
+	s.mirrored = false
 	s.wMax = st.WMax
 	s.levelScale = st.WMax / s.cb.MaxLevel()
 	copy(s.sign, st.Sign)

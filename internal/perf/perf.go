@@ -32,16 +32,18 @@ var RequiredOps = []string{
 	"tensor.matmul/serial",
 	"rram.mvm/per_sample",
 	"rram.mvm/batched",
+	"mapping.read/rebuild",
+	"mapping.read/mirrored",
 	"nn.forward/per_sample",
 	"nn.forward/batched",
 	"serve.infer/per_sample",
 	"serve.infer/batched",
 }
 
-// Entry is one benchmark measurement. Batched variants name their
-// per-sample counterpart in Baseline and carry the throughput ratio in
-// Speedup (per-sample ns/op divided by batched ns/op; >1 means batching
-// wins). Serving entries additionally report latency percentiles;
+// Entry is one benchmark measurement. The faster variant of a pair names
+// its counterpart in Baseline and carries the throughput ratio in Speedup
+// (baseline ns/op divided by its own; >1 means it wins): batched against
+// per-sample, and the mirrored weight read against the rebuilding one. Serving entries additionally report latency percentiles;
 // micro-kernel entries report allocation behaviour instead.
 type Entry struct {
 	// Op names the operation and variant, e.g. "rram.mvm/batched".

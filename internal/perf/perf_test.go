@@ -15,7 +15,7 @@ func TestRunProducesValidDoc(t *testing.T) {
 	if err := Verify(doc); err != nil {
 		t.Fatalf("Verify on fresh suite run: %v", err)
 	}
-	for _, op := range []string{"rram.mvm/batched", "nn.forward/batched", "serve.infer/batched"} {
+	for _, op := range []string{"rram.mvm/batched", "mapping.read/mirrored", "nn.forward/batched", "serve.infer/batched"} {
 		e := doc.Find(op)
 		if e == nil {
 			t.Fatalf("missing %s", op)

@@ -96,6 +96,9 @@ func (cb *Crossbar) Drift(factor float64) int {
 			changed++
 		}
 	}
+	if changed > 0 {
+		cb.gen++
+	}
 	return changed
 }
 
@@ -202,6 +205,7 @@ func (cb *Crossbar) WriteVerified(r, c int, target float64, maxRetries int, tol 
 		k = fault.SA1
 	}
 	cb.kind[i] = k
+	cb.gen++
 	cb.stats.WriteGiveups++
 	if obs.MetricsEnabled() {
 		cWriteGiveups.Inc()

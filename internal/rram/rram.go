@@ -121,6 +121,9 @@ type Crossbar struct {
 	rng   *xrand.Stream
 	stats Stats
 
+	// gen counts mutations of level or kind; see Gen.
+	gen uint64
+
 	// dyn holds the opt-in runtime fault dynamics (read disturb, write
 	// failures); nil — the default — disables them all and consumes no RNG.
 	// See dynamics.go. Deliberately excluded from Snapshot/Restore: chaos
@@ -173,6 +176,15 @@ func (cb *Crossbar) MaxLevel() float64 { return float64(cb.cfg.Levels - 1) }
 // Stats returns a copy of the write-traffic counters.
 func (cb *Crossbar) Stats() Stats { return cb.stats }
 
+// Gen returns the crossbar's mutation generation: a counter that advances
+// on every call that may change a cell's programmed level or fault state
+// (Write and WriteDelta reaching a healthy cell, a WriteVerified giveup,
+// SetFault, InjectFaults, a Drift that moved a cell, Restore). A cache
+// derived from cell state is current exactly while the generation it
+// recorded equals Gen(); mapping.CrossbarStore keeps its weight mirror
+// coherent this way. The counter is not part of the snapshot state.
+func (cb *Crossbar) Gen() uint64 { return cb.gen }
+
 func (cb *Crossbar) idx(r, c int) int { return r*cb.ColsN + c }
 
 // Fault returns the hard-fault state of cell (r, c).
@@ -180,7 +192,10 @@ func (cb *Crossbar) Fault(r, c int) fault.Kind { return cb.kind[cb.idx(r, c)] }
 
 // SetFault forces the fault state of cell (r, c) — used for fabrication
 // defect injection and by tests.
-func (cb *Crossbar) SetFault(r, c int, k fault.Kind) { cb.kind[cb.idx(r, c)] = k }
+func (cb *Crossbar) SetFault(r, c int, k fault.Kind) {
+	cb.kind[cb.idx(r, c)] = k
+	cb.gen++
+}
 
 // InjectFaults copies every fault in m onto the crossbar. The map must
 // match the crossbar dimensions.
@@ -193,6 +208,7 @@ func (cb *Crossbar) InjectFaults(m *fault.Map) {
 			cb.kind[i] = k
 		}
 	}
+	cb.gen++
 }
 
 // FaultMap snapshots the ground-truth fault state. Detection experiments
@@ -260,6 +276,7 @@ func (cb *Crossbar) Write(r, c int, target float64) {
 		}
 		return
 	}
+	cb.gen++
 	cb.writes[i]++
 	cb.stats.Writes++
 	if obs.MetricsEnabled() {

@@ -54,16 +54,20 @@ func (e *Engine) maintenanceStalled() bool {
 // indistinguishable from a real traffic spike, which is the point. The
 // accepted requests are served and their responses discarded (the
 // response channels are buffered, so nothing blocks or leaks).
-func (e *Engine) SaturateQueue(n int) int {
+func (e *Engine) SaturateQueue(n int) int { return len(e.saturate(n)) }
+
+// saturate is SaturateQueue returning the accepted requests' response
+// channels, in submission order.
+func (e *Engine) saturate(n int) []<-chan Response {
 	x := make([]float64, e.inSize)
-	accepted := 0
+	var accepted []<-chan Response
 	for i := 0; i < n; i++ {
-		if _, err := e.Submit(&Request{ID: fmt.Sprintf("chaos-%d", i), X: x}); err == nil {
-			accepted++
+		if ch, err := e.Submit(&Request{ID: fmt.Sprintf("chaos-%d", i), X: x}); err == nil {
+			accepted = append(accepted, ch)
 		}
 	}
-	if accepted > 0 && obs.MetricsEnabled() {
-		cSaturated.Add(int64(accepted))
+	if len(accepted) > 0 && obs.MetricsEnabled() {
+		cSaturated.Add(int64(len(accepted)))
 	}
 	return accepted
 }

@@ -127,7 +127,23 @@ func ChaosPhases(m *core.Model, ds *dataset.Dataset, cfg ChaosScenarioConfig) *C
 	e := NewEngine(m, ds.InSize(), base.Serve)
 	clk := e.cfg.Clock
 	rng := xrand.Derive(base.Seed, "chaos-scenario")
-	ce := chaos.NewEngine(cfg.Campaign, e.ChaosTarget(), base.Seed, clk)
+	target := e.ChaosTarget()
+	// The ticks run synchronously, so a saturation burst is answered
+	// before its tick goes on: junk served concurrently with the tick's
+	// probe and repair pass would make serve.degraded_responses depend on
+	// goroutine scheduling. On a fake clock a partial last batch waits
+	// for the next tick's clock advance, so only whole batches are
+	// awaited there.
+	target.Saturate = func(n int) {
+		answers := e.saturate(n)
+		if _, fake := clk.(*obs.FakeClock); fake {
+			answers = answers[:len(answers)/e.cfg.MaxBatch*e.cfg.MaxBatch]
+		}
+		for _, ch := range answers {
+			<-ch
+		}
+	}
+	ce := chaos.NewEngine(cfg.Campaign, target, base.Seed, clk)
 	res := &ChaosScenarioResult{Engine: e, Dataset: ds}
 
 	res.PreFault = e.AccuracyBatched(ds.TestX, ds.TestY)

@@ -65,12 +65,37 @@ var (
 	cRepairSteps  = obs.NewCounter("serve.repair_steps")
 	cDrainRejects = obs.NewCounter("serve.drain_rejects")
 	gQueueDepth   = obs.NewGauge("serve.queue_depth")
-	gDraining     = obs.NewGauge("serve.draining")
-	gDegraded     = obs.NewGauge("serve.degraded")
-	gEpoch        = obs.NewGauge("serve.epoch")
 	hBatchSize    = obs.NewHistogram("serve.batch_size")
 	hLatencyNs    = obs.NewHistogram("serve.latency_ns")
 )
+
+// instanceGauges are one engine's state gauges, named
+// serve.<instance>.{degraded,epoch,draining} (serve.{degraded,epoch,
+// draining} for an unnamed engine). They are per instance: in a
+// replicated deployment each engine reports its own state instead of
+// overwriting its peers'.
+type instanceGauges struct {
+	degraded, epoch, draining *obs.Gauge
+}
+
+func newInstanceGauges(instance string) instanceGauges {
+	p := "serve."
+	if instance != "" {
+		p += instance + "."
+	}
+	g := instanceGauges{
+		degraded: obs.NewGauge(p + "degraded"),
+		epoch:    obs.NewGauge(p + "epoch"),
+		draining: obs.NewGauge(p + "draining"),
+	}
+	// A new engine starts healthy, at epoch 0 and admitting: an engine
+	// taking over an instance name (a rebuilt replica) must not inherit
+	// its predecessor's state.
+	g.degraded.Set(0)
+	g.epoch.Set(0)
+	g.draining.Set(0)
+	return g
+}
 
 // Submission errors. ErrOverloaded is the backpressure signal (bounded
 // queue full); ErrDeadlineExceeded answers requests that waited past their
@@ -107,6 +132,13 @@ type Config struct {
 	// wall clock. Tests inject obs.NewFakeClock to make batching
 	// decisions deterministic.
 	Clock obs.Clock
+	// Instance names the engine in the metrics registry: its state
+	// gauges are serve.<Instance>.degraded, .epoch and .draining. A
+	// replicated dispatcher names its engines after their slots (r0,
+	// r1, …). Empty keeps the unscoped names serve.degraded, serve.epoch
+	// and serve.draining, which every unnamed engine of the process
+	// shares: name each engine when a process runs more than one.
+	Instance string
 }
 
 // DefaultConfig returns the serving defaults documented on Config.
@@ -197,6 +229,7 @@ type Engine struct {
 	epoch    atomic.Int64
 	degraded atomic.Bool
 	draining atomic.Bool
+	gauges   instanceGauges
 
 	// submitMu serializes Submit against Close so no request can be
 	// enqueued after the final drain (which would leave its caller
@@ -239,6 +272,7 @@ func NewEngine(m *core.Model, inSize int, cfg Config) *Engine {
 		done:      make(chan struct{}),
 		loopDone:  make(chan struct{}),
 		maintDone: make(chan struct{}),
+		gauges:    newInstanceGauges(cfg.Instance),
 	}
 	go e.run()
 	return e
@@ -269,7 +303,7 @@ func (e *Engine) Degraded() bool { return e.degraded.Load() }
 func (e *Engine) Drain() {
 	e.draining.Store(true)
 	if obs.MetricsEnabled() {
-		gDraining.Set(1)
+		e.gauges.draining.Set(1)
 	}
 }
 
@@ -277,7 +311,7 @@ func (e *Engine) Drain() {
 func (e *Engine) Resume() {
 	e.draining.Store(false)
 	if obs.MetricsEnabled() {
-		gDraining.Set(0)
+		e.gauges.draining.Set(0)
 	}
 }
 

@@ -152,7 +152,7 @@ func (e *Engine) lockedStep(st *RepairStats, fn func() bool) {
 	if fn() {
 		v := e.epoch.Add(1)
 		if obs.MetricsEnabled() {
-			gEpoch.Set(v)
+			e.gauges.epoch.Set(v)
 		}
 	}
 	e.mu.Unlock()
@@ -170,9 +170,9 @@ func (e *Engine) setDegraded(on bool) {
 	e.degraded.Store(on)
 	if obs.MetricsEnabled() {
 		if on {
-			gDegraded.Set(1)
+			e.gauges.degraded.Set(1)
 		} else {
-			gDegraded.Set(0)
+			e.gauges.degraded.Set(0)
 		}
 	}
 }

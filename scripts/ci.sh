@@ -123,6 +123,7 @@ if [ "${RRAMFT_FUZZ:-}" = 1 ]; then
     echo "fuzz smoke: 10s per target"
     go test ./internal/rram/    -run='^$' -fuzz='^FuzzCrossbarRestore$' -fuzztime=10s
     go test ./internal/mapping/ -run='^$' -fuzz='^FuzzMappingState$'    -fuzztime=10s
+    go test ./internal/mapping/ -run='^$' -fuzz='^FuzzStoreMirror$'     -fuzztime=10s
     go test ./internal/core/    -run='^$' -fuzz='^FuzzReadCheckpoint$'  -fuzztime=10s
     go test ./internal/detect/  -run='^$' -fuzz='^FuzzMarchInput$'      -fuzztime=10s
     go test ./internal/serve/   -run='^$' -fuzz='^FuzzServeRequest$'    -fuzztime=10s
