@@ -238,7 +238,7 @@ func (s *session) run() *RunResult {
 		bx, by := s.batcher.Next()
 		s.loss.Loss(m.Net.Forward(bx), by)
 		m.Net.ZeroGrads()
-		m.Net.Backward(s.loss.Grad(by))
+		m.Net.BackwardParams(s.loss.Grad(by))
 		s.opt.Step(m.Net.Params())
 		if obs.MetricsEnabled() {
 			cIters.Inc()

@@ -44,7 +44,7 @@ func DeltaWDistribution(scale Scale, seed int64) *Report {
 		bx, by := batcher.Next()
 		loss.Loss(net.Forward(bx), by)
 		net.ZeroGrads()
-		net.Backward(loss.Grad(by))
+		net.BackwardParams(loss.Grad(by))
 		// Measure the proposed δw of the network's largest layer.
 		p := net.Params()[0]
 		delta := tensor.NewDense(p.Grad.Rows, p.Grad.Cols)

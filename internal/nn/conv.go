@@ -42,9 +42,10 @@ type Conv2D struct {
 	yBuf    *tensor.Dense
 	dx      *tensor.Dense
 	dpatch  *tensor.Dense
-	convOut *tensor.Dense // patchRows×outC forward scratch
-	dyBuf   *tensor.Dense // patchRows×outC backward scratch
 	kgTmp   *tensor.Dense // outC×patchCols backward scratch
+	// sample views one sample's channel-major row (of the output or
+	// its gradient) as an outC×patchRows matrix.
+	sample tensor.Dense
 }
 
 // NewConv2D builds a convolution layer over the given weight store, whose
@@ -77,7 +78,8 @@ func (l *Conv2D) OutSize(in int) int {
 }
 
 // Forward computes the convolution for each sample in the batch. The output
-// layout per sample is channel-major: [outC][outH][outW] flattened.
+// layout per sample is channel-major: [outC][outH][outW] flattened, which
+// is K·patchesᵀ written straight into the output row.
 func (l *Conv2D) Forward(x *tensor.Dense) *tensor.Dense {
 	s := l.Spec
 	if x.Cols != s.InSize {
@@ -92,27 +94,44 @@ func (l *Conv2D) Forward(x *tensor.Dense) *tensor.Dense {
 	}
 	k := l.K.Store.Read()
 	b := l.B.Store.Read()
-	l.convOut = tensor.EnsureShape(l.convOut, s.PatchRows, s.OutC)
-	out := l.convOut
 	for i := 0; i < x.Rows; i++ {
 		if l.patches[i] == nil {
 			l.patches[i] = tensor.NewDense(s.PatchRows, s.PatchCols)
 		}
 		tensor.Im2Col(l.patches[i], x.Row(i), s.InC, s.H, s.W, s.KH, s.KW, s.Stride, s.Pad)
-		tensor.MatMulTransB(out, l.patches[i], k)
-		yrow := l.yBuf.Row(i)
+		y := l.view(l.yBuf.Row(i))
+		tensor.MatMulTransB(y, k, l.patches[i])
 		for oc := 0; oc < s.OutC; oc++ {
 			bias := b.Data[oc]
-			for p := 0; p < s.PatchRows; p++ {
-				yrow[oc*s.PatchRows+p] = out.At(p, oc) + bias
+			yc := y.Row(oc)
+			for p := range yc {
+				yc[p] += bias
 			}
 		}
 	}
 	return l.yBuf
 }
 
+// view points l.sample at row, one sample's outC×patchRows output or
+// output gradient.
+func (l *Conv2D) view(row []float64) *tensor.Dense {
+	l.sample = tensor.Dense{Rows: l.Spec.OutC, Cols: l.Spec.PatchRows, Data: row}
+	return &l.sample
+}
+
 // Backward computes kernel/bias gradients and the input gradient.
 func (l *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
+	l.backward(dout, true)
+	return l.dx
+}
+
+// BackwardParams computes the kernel and bias gradients only, skipping
+// the input gradient (its dy·K product and Col2Im).
+func (l *Conv2D) BackwardParams(dout *tensor.Dense) {
+	l.backward(dout, false)
+}
+
+func (l *Conv2D) backward(dout *tensor.Dense, wantDX bool) {
 	s := l.Spec
 	if l.x == nil {
 		panic("nn: Backward before Forward on " + l.name)
@@ -121,27 +140,26 @@ func (l *Conv2D) Backward(dout *tensor.Dense) *tensor.Dense {
 	kg.Zero()
 	bg := l.B.Grad
 	bg.Zero()
-	l.dx = tensor.EnsureShape(l.dx, dout.Rows, s.InSize)
-	l.dpatch = tensor.EnsureShape(l.dpatch, s.PatchRows, s.PatchCols)
 	k := l.K.Store.Read()
-	l.dyBuf = tensor.EnsureShape(l.dyBuf, s.PatchRows, s.OutC)
 	l.kgTmp = tensor.EnsureShape(l.kgTmp, s.OutC, s.PatchCols)
-	dy, kgTmp := l.dyBuf, l.kgTmp
+	if wantDX {
+		l.dx = tensor.EnsureShape(l.dx, dout.Rows, s.InSize)
+		l.dpatch = tensor.EnsureShape(l.dpatch, s.PatchRows, s.PatchCols)
+	}
 	for i := 0; i < dout.Rows; i++ {
-		drow := dout.Row(i)
+		dy := l.view(dout.Row(i)) // outC×patchRows
 		for oc := 0; oc < s.OutC; oc++ {
-			for p := 0; p < s.PatchRows; p++ {
-				v := drow[oc*s.PatchRows+p]
-				dy.Set(p, oc, v)
+			for _, v := range dy.Row(oc) {
 				bg.Data[oc] += v
 			}
 		}
-		// dK += dyᵀ·patches  (outC×patchRows · patchRows×patchCols)
-		tensor.MatMulTransA(kgTmp, dy, l.patches[i])
-		kg.AddScaled(1, kgTmp)
-		// dpatch = dy·K
-		tensor.MatMul(l.dpatch, dy, k)
-		tensor.Col2Im(l.dx.Row(i), l.dpatch, s.InC, s.H, s.W, s.KH, s.KW, s.Stride, s.Pad)
+		// dK += dy·patches  (outC×patchRows · patchRows×patchCols)
+		tensor.MatMul(l.kgTmp, dy, l.patches[i])
+		kg.AddScaled(1, l.kgTmp)
+		if wantDX {
+			// dpatch = dyᵀ·K
+			tensor.MatMulTransA(l.dpatch, dy, k)
+			tensor.Col2Im(l.dx.Row(i), l.dpatch, s.InC, s.H, s.W, s.KH, s.KW, s.Stride, s.Pad)
+		}
 	}
-	return l.dx
 }

@@ -69,14 +69,21 @@ func (l *DenseLayer) Forward(x *tensor.Dense) *tensor.Dense {
 	return l.yBuf
 }
 
-// Backward accumulates dW = xᵀ·dout and db = Σ dout, returning dx = dout·Wᵀ.
+// Backward computes dW = xᵀ·dout and db = Σ dout, returning dx = dout·Wᵀ.
+// The gradients are overwritten, not accumulated: one backward per forward.
 func (l *DenseLayer) Backward(dout *tensor.Dense) *tensor.Dense {
+	l.BackwardParams(dout)
+	l.dx = tensor.EnsureShape(l.dx, dout.Rows, l.In)
+	tensor.MatMulTransB(l.dx, dout, l.W.Store.Read())
+	return l.dx
+}
+
+// BackwardParams computes dW and db only, skipping dx.
+func (l *DenseLayer) BackwardParams(dout *tensor.Dense) {
 	if l.x == nil {
 		panic("nn: Backward before Forward on " + l.name)
 	}
-	tensor.MatMulTransA(l.W.Grad, l.x, dout) // accumulate? MatMulTransA zeroes dst
-	// MatMulTransA overwrites; keep overwrite semantics (one backward per
-	// forward) which matches the trainer's usage and keeps grads exact.
+	tensor.MatMulTransA(l.W.Grad, l.x, dout)
 	bg := l.B.Grad
 	bg.Zero()
 	for r := 0; r < dout.Rows; r++ {
@@ -85,7 +92,4 @@ func (l *DenseLayer) Backward(dout *tensor.Dense) *tensor.Dense {
 			bg.Data[c] += row[c]
 		}
 	}
-	l.dx = tensor.EnsureShape(l.dx, dout.Rows, l.In)
-	tensor.MatMulTransB(l.dx, dout, l.W.Store.Read())
-	return l.dx
 }

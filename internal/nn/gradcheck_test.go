@@ -155,3 +155,69 @@ func TestInputGradient(t *testing.T) {
 		t.Errorf("input gradient relative error %.2e", err)
 	}
 }
+
+// TestBackwardParamsMatchesBackward: the training backward fills every
+// parameter gradient bit for bit as Backward does, and leaves the first
+// layer's input gradient uncomputed. Covered: a Fig. 7(a)-shaped CNN
+// (first layer a convolution), an MLP (first layer dense), and a network
+// whose first layer has no parameters (it falls back to Backward).
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	build := map[string]func(rng *xrand.Stream) (*Network, int){
+		"cnn": func(rng *xrand.Stream) (*Network, int) {
+			s1 := NewConvSpec(3, 8, 8, 4, 3, 3, 1, 1)
+			s2 := NewConvSpec(4, 4, 4, 6, 3, 3, 1, 1)
+			return NewNetwork(
+				NewConv2DHe("conv1", s1, rng), NewReLU("r1"), NewMaxPool2("p1", 4, 8, 8),
+				NewConv2DHe("conv2", s2, rng), NewReLU("r2"), NewMaxPool2("p2", 6, 4, 4),
+				NewDenseHe("fc1", 6*2*2, 5, rng), NewReLU("r3"), NewDenseHe("fc2", 5, 3, rng),
+			), s1.InSize
+		},
+		"mlp": func(rng *xrand.Stream) (*Network, int) {
+			return NewNetwork(NewDenseHe("fc1", 7, 6, rng), NewReLU("r"), NewDenseHe("fc2", 6, 3, rng)), 7
+		},
+		"relu-first": func(rng *xrand.Stream) (*Network, int) {
+			return NewNetwork(NewReLU("r0"), NewDenseHe("fc1", 7, 3, rng)), 7
+		},
+	}
+	for name, mk := range build {
+		t.Run(name, func(t *testing.T) {
+			rng := xrand.New(106)
+			net, in := mk(rng)
+			x := tensor.NewDense(5, in)
+			for i := range x.Data {
+				x.Data[i] = rng.Uniform(-1, 1)
+			}
+			labels := []int{0, 1, 2, 1, 0}
+			loss := &SoftmaxCrossEntropy{}
+
+			loss.Loss(net.Forward(x), labels)
+			net.ZeroGrads()
+			net.BackwardParams(loss.Grad(labels))
+			var got []*tensor.Dense
+			for _, p := range net.Params() {
+				got = append(got, p.Grad.Clone())
+			}
+			switch first := net.Layers[0].Layer.(type) {
+			case *Conv2D:
+				if first.dx != nil || first.dpatch != nil {
+					t.Error("BackwardParams computed the first convolution's input gradient")
+				}
+			case *DenseLayer:
+				if first.dx != nil {
+					t.Error("BackwardParams computed the first dense layer's input gradient")
+				}
+			}
+
+			loss.Loss(net.Forward(x), labels)
+			net.ZeroGrads()
+			net.Backward(loss.Grad(labels))
+			for i, p := range net.Params() {
+				for j, v := range p.Grad.Data {
+					if math.Float64bits(v) != math.Float64bits(got[i].Data[j]) {
+						t.Fatalf("%s[%d]: BackwardParams %v, Backward %v", p.Name, j, got[i].Data[j], v)
+					}
+				}
+			}
+		})
+	}
+}

@@ -117,6 +117,34 @@ func (n *Network) Backward(dout *tensor.Dense) *tensor.Dense {
 	return dout
 }
 
+// paramBackwarder is implemented by layers that can fill their parameter
+// gradients without computing dL/d(input). Network.BackwardParams uses it
+// on the first layer, whose input gradient nothing reads.
+type paramBackwarder interface {
+	// BackwardParams consumes dL/d(output) and fills the layer's
+	// parameter gradients exactly as Backward does.
+	BackwardParams(dout *tensor.Dense)
+}
+
+// BackwardParams is Backward for training: it fills every parameter
+// gradient, identical to Backward's, but skips the network's input
+// gradient, which the optimizer never reads. The first layer runs its own
+// BackwardParams when it has one (Conv2D and DenseLayer do) and Backward
+// otherwise.
+func (n *Network) BackwardParams(dout *tensor.Dense) {
+	if len(n.Layers) == 0 {
+		return
+	}
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		dout = n.Layers[i].Layer.Backward(dout)
+	}
+	if pb, ok := n.Layers[0].Layer.(paramBackwarder); ok {
+		pb.BackwardParams(dout)
+	} else {
+		n.Layers[0].Layer.Backward(dout)
+	}
+}
+
 // Params returns all trainable parameters in layer order.
 func (n *Network) Params() []*Param {
 	var ps []*Param

@@ -38,6 +38,7 @@ var RequiredOps = []string{
 	"nn.forward/batched",
 	"serve.infer/per_sample",
 	"serve.infer/batched",
+	"nn.train_step/cnn",
 }
 
 // Entry is one benchmark measurement. The faster variant of a pair names

@@ -8,12 +8,15 @@ import (
 	"time"
 
 	"rramft/internal/core"
+	"rramft/internal/dataset"
 	"rramft/internal/fault"
 	"rramft/internal/mapping"
+	"rramft/internal/nn"
 	"rramft/internal/par"
 	"rramft/internal/rram"
 	"rramft/internal/serve"
 	"rramft/internal/tensor"
+	"rramft/internal/train"
 	"rramft/internal/xrand"
 )
 
@@ -97,6 +100,7 @@ func Run(opts Options) *Doc {
 	doc.Entries = append(doc.Entries, benchRead(opts.Seed)...)
 	doc.Entries = append(doc.Entries, benchForward(opts.Seed)...)
 	doc.Entries = append(doc.Entries, benchServe(opts.Seed, opts.BenchTime)...)
+	doc.Entries = append(doc.Entries, benchTrainStep(opts.Seed))
 	return doc
 }
 
@@ -289,4 +293,45 @@ func benchServe(seed int64, d time.Duration) []Entry {
 	per := toEntry("serve.infer/per_sample", run(1))
 	bat := toEntry("serve.infer/batched", run(batchB))
 	return []Entry{per, vs(bat, per)}
+}
+
+// benchTrainStep times one Fig. 2 training iteration on the Fig. 7(a)
+// model, every CNN layer on crossbars with 10% fabrication faults: a
+// 16-sample Forward, the loss, BackwardParams, and an SGD step filtered
+// by the paper's threshold policy (quantile 0.9, as in the Fig. 7
+// experiments) that programs the surviving updates into the cells.
+// Endurance is unlimited, so the repeated steps wear nothing out.
+func benchTrainStep(seed int64) Entry {
+	dc := dataset.CIFARLike(seed)
+	dc.TrainN, dc.TestN = 64, 1
+	ds := dataset.Generate(dc)
+	opts := core.DefaultBuildOptions(seed)
+	opts.OnRCS, opts.ConvOnRCS = true, true
+	opts.Store.Crossbar.Endurance = fault.Unlimited()
+	opts.InitialFaultFrac = 0.1
+	m := core.BuildCNN(dc.C, dc.H, dc.W, dc.Classes, opts)
+
+	const batch = 16
+	xs := make([]*tensor.Dense, dc.TrainN/batch)
+	for i := range xs {
+		xs[i] = tensor.FromSlice(batch, ds.TrainX.Cols, ds.TrainX.Data[i*batch*ds.TrainX.Cols:(i+1)*batch*ds.TrainX.Cols])
+	}
+	loss := &nn.SoftmaxCrossEntropy{}
+	opt := nn.NewSGD(0.02)
+	opt.Momentum = 0.9
+	th := train.NewThreshold()
+	th.Quantile = 0.9
+	opt.Policy = th
+	params := m.Net.Params()
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := i % len(xs)
+			y := ds.TrainY[k*batch : (k+1)*batch]
+			loss.Loss(m.Net.Forward(xs[k]), y)
+			m.Net.BackwardParams(loss.Grad(y))
+			opt.Step(params)
+		}
+	})
+	return entry("nn.train_step/cnn", "cifar-like 3x16x16,cnn-on-rcs,faults=10%,B=16", r)
 }

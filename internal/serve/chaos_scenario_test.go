@@ -17,13 +17,19 @@ import (
 // the result. Determinism comes from the fake clock (the campaign engine
 // is driven synchronously on it), MaxBatch 1 (no MaxWait timer for the
 // fake clock to starve — saturation junk drains request by request),
-// single-worker tensor kernels, and a tick journal clock.
+// single-worker tensor kernels, and a tick journal clock. Every run also
+// starts from the registry state of a fresh process: the engine's state
+// gauges are process-wide (an unnamed engine's are serve.epoch and
+// friends), the journal reports their movement against its start, and
+// without the reset a run would start from the epoch the previous run's
+// engine left behind.
 func chaosGoldenRun(t *testing.T) ([]byte, *ChaosScenarioResult) {
 	t.Helper()
 	cfg := DefaultChaosScenarioConfig(11)
 	cfg.Base.Serve.Clock = obs.NewFakeClock(0)
 	cfg.Base.Serve.MaxBatch = 1
 	m, ds := TrainScenarioModel(cfg.Base)
+	newInstanceGauges(cfg.Base.Serve.Instance)
 
 	var buf bytes.Buffer
 	var tick int64

@@ -40,24 +40,38 @@ func Im2Col(dst *Dense, src []float64, inC, h, w, kh, kw, stride, pad int) {
 	})
 }
 
+// kxRange returns the kernel columns [kx0, kx1) that land inside an image
+// of width w when kernel column 0 sits at image column x0; the rest read
+// the zero padding. It is the same for every channel and kernel row of a
+// patch.
+func kxRange(x0, w, kw int) (kx0, kx1 int) {
+	kx0 = min(kw, max(0, -x0))
+	kx1 = max(kx0, min(kw, w-x0))
+	return kx0, kx1
+}
+
 // im2colRows fills dst rows [p0, p1) of the patch matrix.
 func im2colRows(dst *Dense, src []float64, outW, inC, h, w, kh, kw, stride, pad, p0, p1 int) {
 	for p := p0; p < p1; p++ {
 		oy, ox := p/outW, p%outW
+		x0 := ox*stride - pad
+		kx0, kx1 := kxRange(x0, w, kw)
 		drow := dst.Row(p)
-		idx := 0
-		for c := 0; c < inC; c++ {
-			chBase := c * h * w
-			for ky := 0; ky < kh; ky++ {
-				iy := oy*stride + ky - pad
-				for kx := 0; kx < kw; kx++ {
-					ix := ox*stride + kx - pad
-					if iy < 0 || iy >= h || ix < 0 || ix >= w {
-						drow[idx] = 0
-					} else {
-						drow[idx] = src[chBase+iy*w+ix]
-					}
-					idx++
+		clear(drow)
+		if kx0 == kx1 {
+			continue // the patch lies wholly in the padding
+		}
+		for ky := 0; ky < kh; ky++ {
+			iy := oy*stride + ky - pad
+			if iy < 0 || iy >= h {
+				continue
+			}
+			for c := 0; c < inC; c++ {
+				d := drow[(c*kh+ky)*kw:][kx0:kx1]
+				s0 := c*h*w + iy*w + x0
+				s := src[s0+kx0 : s0+kx1][:len(d)]
+				for kx := range d {
+					d[kx] = s[kx]
 				}
 			}
 		}
@@ -68,31 +82,33 @@ func im2colRows(dst *Dense, src []float64, outW, inC, h, w, kh, kw, stride, pad,
 // accumulating overlapping contributions. dst must have length inC*h*w and
 // is zeroed first.
 func Col2Im(dst []float64, patches *Dense, inC, h, w, kh, kw, stride, pad int) {
-	outH, outW, pr, pc := Im2ColShape(inC, h, w, kh, kw, stride, pad)
+	_, outW, pr, pc := Im2ColShape(inC, h, w, kh, kw, stride, pad)
 	if len(dst) != inC*h*w {
 		panic(fmt.Sprintf("tensor: col2im dst length %d want %d", len(dst), inC*h*w))
 	}
 	if patches.Rows != pr || patches.Cols != pc {
 		panic(fmt.Sprintf("tensor: col2im patches %dx%d want %dx%d", patches.Rows, patches.Cols, pr, pc))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			prow := patches.Row(oy*outW + ox)
-			idx := 0
+	clear(dst)
+	for p := 0; p < pr; p++ {
+		oy, ox := p/outW, p%outW
+		x0 := ox*stride - pad
+		kx0, kx1 := kxRange(x0, w, kw)
+		if kx0 == kx1 {
+			continue
+		}
+		prow := patches.Row(p)
+		for ky := 0; ky < kh; ky++ {
+			iy := oy*stride + ky - pad
+			if iy < 0 || iy >= h {
+				continue
+			}
 			for c := 0; c < inC; c++ {
-				chBase := c * h * w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride + ky - pad
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride + kx - pad
-						if iy >= 0 && iy < h && ix >= 0 && ix < w {
-							dst[chBase+iy*w+ix] += prow[idx]
-						}
-						idx++
-					}
+				s := prow[(c*kh+ky)*kw:][kx0:kx1]
+				d0 := c*h*w + iy*w + x0
+				d := dst[d0+kx0 : d0+kx1][:len(s)]
+				for kx, v := range s {
+					d[kx] += v
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -146,4 +147,108 @@ func absDiff(a, b float64) float64 {
 		return a - b
 	}
 	return b - a
+}
+
+// refIm2Col and refCol2Im are the per-element definitions: every patch
+// entry tests its own position against the padding, and Col2Im adds each
+// in-image entry in patch order (output position, then channel, kernel
+// row, kernel column).
+func refIm2Col(src []float64, inC, h, w, kh, kw, stride, pad int) *Dense {
+	outH, outW, pr, pc := Im2ColShape(inC, h, w, kh, kw, stride, pad)
+	dst := NewDense(pr, pc)
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			drow := dst.Row(oy*outW + ox)
+			idx := 0
+			for c := 0; c < inC; c++ {
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						iy, ix := oy*stride+ky-pad, ox*stride+kx-pad
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							drow[idx] = src[c*h*w+iy*w+ix]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
+	return dst
+}
+
+func refCol2Im(patches *Dense, inC, h, w, kh, kw, stride, pad int) []float64 {
+	outH, outW, _, _ := Im2ColShape(inC, h, w, kh, kw, stride, pad)
+	dst := make([]float64, inC*h*w)
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			prow := patches.Row(oy*outW + ox)
+			idx := 0
+			for c := 0; c < inC; c++ {
+				for ky := 0; ky < kh; ky++ {
+					for kx := 0; kx < kw; kx++ {
+						iy, ix := oy*stride+ky-pad, ox*stride+kx-pad
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							dst[c*h*w+iy*w+ix] += prow[idx]
+						}
+						idx++
+					}
+				}
+			}
+		}
+	}
+	return dst
+}
+
+// TestIm2ColCol2ImBitIdenticalToReference: Im2Col and Col2Im equal the
+// per-element definitions bit for bit (tolerance 0) over stride {1, 2},
+// pad {0, 1, 2}, square and non-square kernels, and kernels wider or
+// taller than the image, with 1 worker and with 8.
+func TestIm2ColCol2ImBitIdenticalToReference(t *testing.T) {
+	type geom struct{ inC, h, w, kh, kw int }
+	geoms := []geom{
+		{1, 1, 1, 1, 1}, {3, 16, 16, 3, 3}, {8, 8, 8, 3, 3}, {2, 5, 7, 3, 2},
+		{1, 2, 2, 5, 5}, {2, 3, 1, 1, 4}, {1, 4, 3, 2, 5}, {3, 6, 5, 4, 4},
+	}
+	checked := 0
+	for _, workers := range []int{1, 8} {
+		withWorkers(t, workers, func() {
+			for gi, g := range geoms {
+				for _, stride := range []int{1, 2} {
+					for _, pad := range []int{0, 1, 2} {
+						outH, outW, pr, pc := Im2ColShape(g.inC, g.h, g.w, g.kh, g.kw, stride, pad)
+						if outH <= 0 || outW <= 0 {
+							continue // the kernel does not fit even with padding
+						}
+						rng := xrand.New(int64(100*gi + 10*stride + pad))
+						src := make([]float64, g.inC*g.h*g.w)
+						for i := range src {
+							src[i] = rng.Uniform(-1, 1)
+						}
+						got := NewDense(pr, pc)
+						got.Fill(999) // padding entries must be written, not left
+						Im2Col(got, src, g.inC, g.h, g.w, g.kh, g.kw, stride, pad)
+						if !sameBits(got, refIm2Col(src, g.inC, g.h, g.w, g.kh, g.kw, stride, pad)) {
+							t.Fatalf("workers=%d %+v stride=%d pad=%d: Im2Col differs from the reference", workers, g, stride, pad)
+						}
+						p := randomDense(rng, pr, pc)
+						img := make([]float64, len(src))
+						for i := range img {
+							img[i] = 999
+						}
+						Col2Im(img, p, g.inC, g.h, g.w, g.kh, g.kw, stride, pad)
+						want := refCol2Im(p, g.inC, g.h, g.w, g.kh, g.kw, stride, pad)
+						for i := range img {
+							if math.Float64bits(img[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("workers=%d %+v stride=%d pad=%d: Col2Im[%d] = %v, reference %v", workers, g, stride, pad, i, img[i], want[i])
+							}
+						}
+						checked++
+					}
+				}
+			}
+		})
+	}
+	if checked < 40 {
+		t.Fatalf("only %d geometries checked", checked)
+	}
 }

@@ -8,13 +8,19 @@
 // few allocating convenience wrappers are named with a trailing "New" or
 // documented as allocating.
 //
+// Summation order is part of the API, because the goldens pin results to
+// the last bit: every element of a matrix product is summed from zero with
+// k ascending, and MatMul and MatMulTransA skip the terms whose a entry is
+// zero (MatMulTransB skips none). Col2Im adds the contributions to an image
+// element in patch order. Neither the worker count nor the kernels'
+// register blocking (four terms or four outputs at a time) changes that
+// order, so every path gives byte-identical results; parallel_test.go
+// checks the products against reference loops written in this order, at
+// tolerance 0 and with 1 and 8 workers.
+//
 // The matrix products and Im2Col are parallelized over disjoint blocks of
-// the destination via internal/par. Each output element is accumulated in
-// exactly the same order regardless of the worker count (the partition only
-// decides which goroutine owns a block, never the summation order inside an
-// element), so results are byte-identical to the serial path — the
-// equivalence tests in parallel_test.go pin RRAMFT_WORKERS to 1 and 8 and
-// require exact equality.
+// the destination via internal/par. The partition only decides which
+// goroutine owns a block, never the summation order inside an element.
 package tensor
 
 import (
@@ -157,23 +163,48 @@ func MatMul(dst, a, b *Dense) {
 }
 
 // matMulRows computes dst rows [i0, i1) of a·b in ikj order: streams
-// through b and dst rows for cache locality.
+// through b and dst rows for cache locality. The nonzero a entries of a
+// row are taken four at a time (addRows4), so each dst element is loaded
+// and stored once per four terms instead of once per term.
 func matMulRows(dst, a, b *Dense, i0, i1 int) {
+	n := b.Cols
 	for i := i0; i < i1; i++ {
-		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := range drow {
-			drow[j] = 0
-		}
-		for k := 0; k < a.Cols; k++ {
-			aik := arow[k]
+		clear(drow)
+		var ak [4]float64
+		var bk [4][]float64
+		m := 0
+		for k, aik := range a.Row(i) {
 			if aik == 0 {
 				continue
 			}
-			brow := b.Row(k)
-			for j := range brow {
-				drow[j] += aik * brow[j]
+			ak[m], bk[m] = aik, b.Data[k*n:k*n+n]
+			if m++; m == 4 {
+				addRows4(drow, ak[0], ak[1], ak[2], ak[3], bk[0], bk[1], bk[2], bk[3])
+				m = 0
 			}
+		}
+		addRowsTail(drow, ak[:m], bk[:m])
+	}
+}
+
+// addRows4 computes d[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j],
+// adding the four terms to d[j] one at a time, left to right — the same
+// rounding as four separate d += a·b passes.
+func addRows4(d []float64, a0, a1, a2, a3 float64, b0, b1, b2, b3 []float64) {
+	b0, b1, b2, b3 = b0[:len(d)], b1[:len(d)], b2[:len(d)], b3[:len(d)]
+	for j, v := range d {
+		d[j] = v + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	}
+}
+
+// addRowsTail applies the fewer than four terms left over after addRows4,
+// in order.
+func addRowsTail(d []float64, a []float64, b [][]float64) {
+	for t, at := range a {
+		bt := b[t][:len(d)]
+		for j := range d {
+			d[j] += at * bt[j]
 		}
 	}
 }
@@ -209,9 +240,8 @@ func MatMulTransA(dst, a, b *Dense) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTA dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	// Column-blocked: keeping the k-outer loop order (which skips zero
-	// aᵏᵢ entries once per k) while giving each worker a disjoint slice
-	// of every dst row. Accumulation per element stays k-ascending.
+	// Column-blocked: each worker owns a disjoint slice of every dst
+	// row. Accumulation per element stays k-ascending.
 	g := blockGrain(a.Rows * a.Cols)
 	if par.Serial(b.Cols, g) {
 		matMulTransACols(dst, a, b, 0, b.Cols)
@@ -222,26 +252,29 @@ func MatMulTransA(dst, a, b *Dense) {
 	})
 }
 
-// matMulTransACols computes dst columns [j0, j1) of aᵀ·b.
+// matMulTransACols computes dst columns [j0, j1) of aᵀ·b. Each dst row i
+// is finished before the next starts, gathering the nonzero entries of
+// a's column i four at a time as matMulRows does.
 func matMulTransACols(dst, a, b *Dense, j0, j1 int) {
+	n := b.Cols
 	for i := 0; i < dst.Rows; i++ {
 		drow := dst.Row(i)[j0:j1]
-		for j := range drow {
-			drow[j] = 0
-		}
-	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)[j0:j1]
-		for i, aki := range arow {
+		clear(drow)
+		var ak [4]float64
+		var bk [4][]float64
+		m := 0
+		for k := 0; k < a.Rows; k++ {
+			aki := a.Data[k*a.Cols+i]
 			if aki == 0 {
 				continue
 			}
-			drow := dst.Row(i)[j0:j1]
-			for j := range brow {
-				drow[j] += aki * brow[j]
+			ak[m], bk[m] = aki, b.Data[k*n+j0:k*n+j1]
+			if m++; m == 4 {
+				addRows4(drow, ak[0], ak[1], ak[2], ak[3], bk[0], bk[1], bk[2], bk[3])
+				m = 0
 			}
 		}
+		addRowsTail(drow, ak[:m], bk[:m])
 	}
 }
 
@@ -265,16 +298,34 @@ func MatMulTransB(dst, a, b *Dense) {
 	})
 }
 
-// matMulTransBRows computes dst rows [i0, i1) of a·bᵀ.
+// matMulTransBRows computes dst rows [i0, i1) of a·bᵀ, four dot
+// products at a time: one pass over a's row feeds four accumulators, one
+// per b row, each summed k-ascending from zero.
 func matMulTransBRows(dst, a, b *Dense, i0, i1 int) {
+	kk := a.Cols
 	for i := i0; i < i1; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
+		j := 0
+		for ; j+4 <= len(drow); j += 4 {
+			b0 := b.Data[j*kk : j*kk+kk][:len(arow)]
+			b1 := b.Data[(j+1)*kk : (j+1)*kk+kk][:len(arow)]
+			b2 := b.Data[(j+2)*kk : (j+2)*kk+kk][:len(arow)]
+			b3 := b.Data[(j+3)*kk : (j+3)*kk+kk][:len(arow)]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(drow); j++ {
+			brow := b.Data[j*kk : j*kk+kk][:len(arow)]
 			var sum float64
-			for k := range arow {
-				sum += arow[k] * brow[k]
+			for k, av := range arow {
+				sum += av * brow[k]
 			}
 			drow[j] = sum
 		}

@@ -10,8 +10,6 @@
 package train
 
 import (
-	"sort"
-
 	"rramft/internal/nn"
 	"rramft/internal/obs"
 	"rramft/internal/tensor"
@@ -122,7 +120,7 @@ func (t *Threshold) baseThreshold(deltas []*tensor.Dense) float64 {
 
 // quantileThreshold estimates the Quantile-th magnitude quantile over the
 // nonzero entries of all deltas by deterministic striding (at most ~4096
-// samples), then sorting the sample.
+// samples), then selecting the order statistic from the sample.
 func (t *Threshold) quantileThreshold(deltas []*tensor.Dense) float64 {
 	total := 0
 	for _, d := range deltas {
@@ -145,12 +143,57 @@ func (t *Threshold) quantileThreshold(deltas []*tensor.Dense) float64 {
 	if len(t.quantBuf) == 0 {
 		return 0
 	}
-	sort.Float64s(t.quantBuf)
 	idx := int(t.Quantile * float64(len(t.quantBuf)))
 	if idx >= len(t.quantBuf) {
 		idx = len(t.quantBuf) - 1
 	}
-	return t.quantBuf[idx]
+	return selectNth(t.quantBuf, idx)
+}
+
+// selectNth returns the value sort.Float64s(xs) would leave at xs[n],
+// reordering xs in place (Hoare's quickselect, median-of-three pivot).
+// NaNs order before every number, as in sort.Float64s.
+func selectNth(xs []float64, n int) float64 {
+	less := func(a, b float64) bool { return a < b || (a != a && b == b) }
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if less(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if less(xs[hi], xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if less(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(xs[i], pivot) {
+				i++
+			}
+			for less(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] ≤ pivot ≤ xs[i..hi], and anything between
+		// equals the pivot.
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return xs[n]
+		}
+	}
+	return xs[n]
 }
 
 func (t *Threshold) filterWithBase(p *nn.Param, delta *tensor.Dense, base float64) {

@@ -1,11 +1,14 @@
 package train
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"rramft/internal/nn"
 	"rramft/internal/tensor"
+	"rramft/internal/testkit"
 	"rramft/internal/xrand"
 )
 
@@ -244,4 +247,35 @@ func TestFilterDeltasViaSGD(t *testing.T) {
 	if th.Stats().Written >= th.Stats().Proposed {
 		t.Error("quantile 0.5 filtered nothing")
 	}
+}
+
+// TestSelectNthMatchesSort: the quantile threshold's selection returns
+// exactly the value sort-then-index returns, on samples with many
+// duplicates and ties (values drawn from a small alphabet), NaNs and
+// lengths 1–5000, at every kind of index.
+func TestSelectNthMatchesSort(t *testing.T) {
+	testkit.ForAll(t, testkit.Config{Trials: 300, MaxSize: 5000}, func(g *testkit.Gen) error {
+		n := g.Dim(1, 5000)
+		distinct := g.OneOf(1, 2, 3, 17, n)
+		alphabet := make([]float64, distinct)
+		for i := range alphabet {
+			alphabet[i] = g.FloatRange(0, 1)
+			if g.Bool(0.05) {
+				alphabet[i] = math.NaN()
+			}
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = alphabet[g.Intn(distinct)]
+		}
+		idx := g.OneOf(0, n-1, n/2, int(0.9*float64(n)), g.Intn(n))
+		g.Logf("n=%d distinct=%d idx=%d", n, distinct, idx)
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		got := selectNth(xs, idx)
+		if want := sorted[idx]; math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			return fmt.Errorf("selectNth = %v, sort then index = %v", got, want)
+		}
+		return nil
+	})
 }
